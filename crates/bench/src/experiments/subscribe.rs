@@ -159,6 +159,10 @@ fn run_cell(h: &Harness, subscribers: usize, dashboards: usize, rate: usize) -> 
     let start = Instant::now();
 
     let replays: Vec<(usize, SubReplay)> = std::thread::scope(|scope| {
+        // Set `stop` however the body ends: a panic below must not
+        // leave the subscriber threads spinning, or the scope would
+        // wait on them forever.
+        let stop_guard = StopOnDrop(&stop);
         let handles: Vec<_> = (0..subscribers)
             .map(|i| {
                 let dash = i % dashboards;
@@ -182,7 +186,7 @@ fn run_cell(h: &Harness, subscribers: usize, dashboards: usize, rate: usize) -> 
         while !server.quiesce_subscriptions(Duration::from_millis(250)) {
             assert!(Instant::now() < deadline, "subscriptions never quiesced");
         }
-        stop.store(true, Ordering::Release);
+        drop(stop_guard);
         handles
             .into_iter()
             .map(|t| t.join().expect("subscriber thread"))
@@ -248,6 +252,15 @@ fn run_cell(h: &Harness, subscribers: usize, dashboards: usize, rate: usize) -> 
         resyncs: snap.resyncs,
         elapsed_ms,
         oracle_match,
+    }
+}
+
+/// Sets its flag on drop, including during a panic's unwind.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
     }
 }
 

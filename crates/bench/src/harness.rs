@@ -2,6 +2,7 @@
 //! result rows, and table printing.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -9,6 +10,7 @@ use rand::SeedableRng;
 use serde::Serialize;
 
 use m4::{M4Lsm, M4LsmConfig, M4Query, M4Result, M4Udf};
+use tsfile::testing::TempDir;
 use tskv::config::EngineConfig;
 use tskv::{SeriesSnapshot, TsKv};
 use workload::{apply_random_deletes, load_sequential, load_with_overlap, Dataset};
@@ -94,20 +96,24 @@ pub struct BenchReport {
 pub struct Harness {
     pub scale: f64,
     pub repeats: usize,
+    /// Scratch root private to this harness (and its clones); removed
+    /// when the last of them is dropped.
     pub root: PathBuf,
     /// Datasets to run (defaults to all four).
     pub datasets: Vec<Dataset>,
+    _scratch: Arc<TempDir>,
 }
 
 impl Harness {
-    /// Create a harness writing stores under `root` (created on use).
+    /// Create a harness writing stores under a fresh scratch `root`.
     pub fn new(scale: f64, repeats: usize) -> Self {
-        let root = std::env::temp_dir().join(format!("m4-bench-{}", std::process::id()));
+        let scratch = Arc::new(TempDir::new("m4-bench").expect("create bench scratch root"));
         Harness {
             scale,
             repeats,
-            root,
+            root: scratch.to_path_buf(),
             datasets: Dataset::ALL.to_vec(),
+            _scratch: scratch,
         }
     }
 

@@ -1,7 +1,8 @@
 //! Query-scoped chunk cache for the M4-LSM operator.
 //!
-//! A chunk split by one span boundary is needed by two adjacent spans;
-//! a chunk probed for an overwrite at one candidate may be probed again
+//! A chunk split by a span boundary is loaded by the summary pass and
+//! read again by any span that must materialize its live points; a
+//! chunk probed for an overwrite at one candidate may be probed again
 //! for another. The cache ensures each chunk body — or, for paged
 //! chunks, each *page* body — is read and decoded at most once per
 //! query (full loads), and that timestamp-only probes reuse previously
@@ -17,8 +18,9 @@
 //! shared LRU deliberately does not cache). Lock discipline: no guard
 //! is ever held across a read or decode — hits are `Arc`-cloned out
 //! under a short guard, misses decode unlocked and then publish.
-//! Racing misses on one chunk may decode twice; the engine-level LRU
-//! makes that a cheap memory copy, never wrong data.
+//! Racing misses on one chunk would decode twice (never wrong data);
+//! the operator avoids them by loading every split fragment in the
+//! summary pass, before any span runs, so each fragment has one loader.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -127,7 +129,7 @@ impl<'a> ChunkCache<'a> {
         // absence of a point at an off-grid timestamp from metadata
         // alone — no chunk body, no timestamp prefix.
         if use_step_index {
-            if let Some(answer) = chunk.index.as_ref().and_then(|i| i.exists_at_meta(t)) {
+            if let Some(answer) = chunk.index().and_then(|i| i.exists_at_meta(t)) {
                 return Ok(answer);
             }
         }
@@ -163,7 +165,7 @@ impl<'a> ChunkCache<'a> {
         // The step-regression model is chunk-global, so its
         // metadata-only answer remains valid for any in-page probe.
         if use_step_index {
-            if let Some(answer) = chunk.index.as_ref().and_then(|i| i.exists_at_meta(t)) {
+            if let Some(answer) = chunk.index().and_then(|i| i.exists_at_meta(t)) {
                 return Ok(answer);
             }
         }
@@ -231,7 +233,7 @@ impl<'a> ChunkCache<'a> {
 }
 
 fn search_ts(ts: &[Timestamp], chunk: &ChunkHandle, t: Timestamp, use_step_index: bool) -> bool {
-    match (&chunk.index, use_step_index) {
+    match (chunk.index(), use_step_index) {
         (Some(idx), true) => idx.exists_at(ts, t),
         _ => binary_search_ops::exists_at(ts, t),
     }
@@ -255,13 +257,13 @@ mod tests {
     )]
 
     use super::*;
+    use tsfile::testing::TempDir;
     use tsfile::types::Point;
     use tskv::config::EngineConfig;
     use tskv::TsKv;
 
-    fn fixture() -> (std::path::PathBuf, TsKv) {
-        let dir = std::env::temp_dir().join(format!("m4-cache-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+    fn fixture() -> (TempDir, TsKv) {
+        let dir = TempDir::new("m4-cache").unwrap();
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -280,7 +282,7 @@ mod tests {
 
     #[test]
     fn points_loaded_once() {
-        let (dir, kv) = fixture();
+        let (_dir, kv) = fixture();
         let snap = kv.snapshot("s").unwrap();
         let cache = ChunkCache::new(&snap);
         let chunk = &snap.chunks()[0];
@@ -291,12 +293,11 @@ mod tests {
         let delta = snap.io().snapshot() - before;
         assert_eq!(delta.chunks_loaded, 1, "second call must hit the cache");
         assert!(cache.is_loaded(0));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn probe_prefix_extends_monotonically() {
-        let (dir, kv) = fixture();
+        let (_dir, kv) = fixture();
         let snap = kv.snapshot("s").unwrap();
         let cache = ChunkCache::new(&snap);
         let chunk = &snap.chunks()[0];
@@ -318,16 +319,15 @@ mod tests {
         // Probes below the prefix reuse it.
         assert!(cache.contains_timestamp(0, chunk, 4_900, true).unwrap());
         assert_eq!((snap.io().snapshot() - before).chunks_loaded, 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn meta_only_negative_probe_costs_no_io() {
-        let (dir, kv) = fixture();
+        let (_dir, kv) = fixture();
         let snap = kv.snapshot("s").unwrap();
         let cache = ChunkCache::new(&snap);
         let chunk = &snap.chunks()[0];
-        assert!(chunk.index.as_ref().is_some_and(|i| i.epsilon() == 0));
+        assert!(chunk.index().is_some_and(|i| i.epsilon() == 0));
         let before = snap.io().snapshot();
         for probe in [1, 99, 101, 12_345, 54_321] {
             assert!(!cache.contains_timestamp(0, chunk, probe, true).unwrap());
@@ -340,12 +340,11 @@ mod tests {
         // With the index disabled the same probes need a data read.
         assert!(!cache.contains_timestamp(0, chunk, 12_345, false).unwrap());
         assert_eq!((snap.io().snapshot() - before).chunks_loaded, 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn loaded_points_answer_probes_without_new_io() {
-        let (dir, kv) = fixture();
+        let (_dir, kv) = fixture();
         let snap = kv.snapshot("s").unwrap();
         let cache = ChunkCache::new(&snap);
         let chunk = &snap.chunks()[0];
@@ -354,6 +353,5 @@ mod tests {
         assert!(cache.contains_timestamp(0, chunk, 5_000, false).unwrap());
         assert!(!cache.contains_timestamp(0, chunk, 5_001, false).unwrap());
         assert_eq!((snap.io().snapshot() - before).chunks_loaded, 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -10,8 +10,19 @@
 //!    assigned per *page*, so candidate generation, verification and
 //!    lazy loading all work at page granularity (sub-chunk statistics,
 //!    single-page loads).
-//! 3. Per span, run candidate generation + verification + lazy loading
-//!    (`span::SpanExecutor`) for each of FP/LP/BP/TP.
+//! 3. **Summary pass** (chunk-major): every fragment split by a span
+//!    boundary must be loaded (Algorithm 1 lines 5–14). Each is loaded
+//!    once and walked once in time order, yielding its exact live
+//!    first/last/bottom/top in every span it crosses
+//!    (`span::summarize`), instead of being re-filtered once per span.
+//! 4. Per span: when the span's fragments are pairwise time-disjoint
+//!    and no unapplied delete touches a metadata-described fragment,
+//!    combine summaries and statistics directly
+//!    (`span::combine_disjoint`) — disjoint fragments share no
+//!    timestamp, so no overwrite is possible. Otherwise run candidate
+//!    generation + verification + lazy loading (`span::SpanExecutor`)
+//!    for each of FP/LP/BP/TP, reading split fragments' candidates from
+//!    their summaries.
 //!
 //! Chunk bodies are loaded at most once per query (shared
 //! `cache::ChunkCache`); timestamp probes decode partial prefixes
@@ -19,11 +30,10 @@
 //! ablation benchmarks: lazy loading (§3.3/3.4) and the
 //! step-regression chunk index (§3.5).
 //!
-//! Spans are independent (each holds its own candidate state and the
-//! shared `ChunkCache` is `Sync`), so step 3 fans them across the
-//! engine-configured worker pool ([`crate::pool`]): candidate
-//! verification and the lazy chunk loads it triggers run concurrently
-//! per span, while results keep span order.
+//! Fragments and spans are independent (each span holds its own
+//! candidate state and the shared `ChunkCache` is `Sync`), so steps 3
+//! and 4 each fan out across the engine-configured worker pool
+//! ([`crate::pool`]); results keep fragment and span order.
 
 mod cache;
 mod span;
@@ -35,7 +45,7 @@ use crate::query::M4Query;
 use crate::repr::M4Result;
 use crate::{M4Error, Result};
 use cache::ChunkCache;
-use span::{SpanChunk, SpanExecutor};
+use span::{QueryCtx, SpanChunk, SpanExecutor, SplitFragment};
 
 /// Tunables of the M4-LSM operator (all on by default; disabling is
 /// only for ablation experiments).
@@ -83,55 +93,82 @@ impl M4Lsm {
         let handles = snapshot.chunks();
         let deletes = snapshot.deletes();
         let cache = ChunkCache::new(snapshot);
+        let threads = snapshot.pool_threads();
 
         // Assign chunks to spans. A fragment whose interval covers
-        // several spans appears in each; `whole` marks the (usual) case
-        // where the span fully contains the fragment so its statistics
-        // describe the whole subsequence. Paged chunks are assigned
-        // *per page*: each page carries its own statistics, so spans
-        // see page-sized fragments instead of the whole chunk — pages
-        // outside every span are never touched, and the `whole` test
-        // passes far more often at page granularity.
+        // several spans appears in each and is *split*; a fragment the
+        // span fully contains is *whole* (its statistics describe the
+        // whole subsequence). Paged chunks are assigned *per page*:
+        // each page carries its own statistics, so spans see page-sized
+        // fragments instead of the whole chunk — pages outside every
+        // span are never touched, and far more fragments are whole.
         let mut per_span: Vec<Vec<SpanChunk>> = vec![Vec::new(); query.w];
+        let mut split: Vec<SplitFragment> = Vec::new();
         for (idx, h) in handles.iter().enumerate() {
             match h.paged().filter(|info| info.pages.len() > 1) {
                 Some(info) => {
                     for (f, pm) in info.pages.iter().enumerate() {
                         let frag = u32::try_from(f)
                             .map_err(|_| M4Error::Internal("page number exceeds u32 range"))?;
-                        assign(&mut per_span, query, idx, Some(frag), pm.stats.time_range())?;
+                        let r = pm.stats.time_range();
+                        assign(&mut per_span, &mut split, query, idx, Some(frag), r)?;
                     }
                 }
-                None => assign(&mut per_span, query, idx, None, h.time_range())?,
+                None => assign(&mut per_span, &mut split, query, idx, None, h.time_range())?,
             }
         }
 
-        // Solve the spans on the worker pool. Each executor is private
-        // to its job; only the chunk cache (Sync, short guards) is
-        // shared. `run_indexed` keeps span order.
-        let spans = pool::run_indexed(snapshot.pool_threads(), query.w, |i| {
-            let chunks = per_span.get(i).cloned().unwrap_or_default();
-            if chunks.is_empty() {
-                return Ok(None);
-            }
-            let executor = SpanExecutor::new(
-                chunks,
-                handles,
-                deletes,
-                query.span_range(i),
-                &cache,
-                &self.cfg,
-            );
-            executor.compute()
+        // Summary pass: load and walk each split fragment once.
+        let mut ctx = QueryCtx {
+            handles,
+            deletes,
+            cache: &cache,
+            cfg: &self.cfg,
+            summaries: &[],
+        };
+        let summaries = pool::run_indexed(threads, split.len(), |j| {
+            span::summarize(&ctx, query, &split[j])
         })?;
+        ctx.summaries = &summaries;
+
+        // Combine the spans the fast path can answer; solve the rest on
+        // the worker pool. Each executor is private to its job; only the
+        // chunk cache (Sync, short guards) and the read-only summaries
+        // are shared. `run_indexed` keeps span order.
+        let ctx = &ctx;
+        let fragments = |i: usize| per_span.get(i).map_or(&[][..], Vec::as_slice);
+        let mut spans = Vec::with_capacity(query.w);
+        let mut pending = Vec::new();
+        for i in 0..query.w {
+            let chunks = fragments(i);
+            let fast = if chunks.is_empty() {
+                Some(None)
+            } else {
+                span::combine_disjoint(ctx, chunks, i)
+            };
+            if fast.is_none() {
+                pending.push(i);
+            }
+            spans.push(fast.flatten());
+        }
+        let solved = pool::run_indexed(threads, pending.len(), |j| {
+            let i = pending[j];
+            SpanExecutor::new(ctx, fragments(i), i, query.span_range(i)).compute()
+        })?;
+        for (i, repr) in pending.into_iter().zip(solved) {
+            spans[i] = repr;
+        }
         Ok(M4Result { spans })
     }
 }
 
 /// Register one fragment (a whole chunk or one page of a paged chunk)
-/// with every span its time interval overlaps.
+/// with every span its time interval overlaps. A fragment is either
+/// whole in its single span or split in every span it touches; split
+/// fragments are recorded for the summary pass.
 fn assign(
     per_span: &mut [Vec<SpanChunk>],
+    split: &mut Vec<SplitFragment>,
     query: &M4Query,
     idx: usize,
     frag: Option<u32>,
@@ -147,13 +184,25 @@ fn assign(
     let hi = query.span_of(clipped.end).ok_or(M4Error::Internal(
         "clipped interval end left the query range",
     ))?;
+    let lo_range = query.span_range(lo);
+    let whole = lo == hi && lo_range.start <= r.start && r.end <= lo_range.end;
+    let id = (!whole).then(|| {
+        split.push(SplitFragment {
+            idx,
+            frag,
+            first_span: lo,
+            last_span: hi,
+        });
+        split.len() - 1
+    });
     for (s, chunks) in per_span.iter_mut().enumerate().take(hi + 1).skip(lo) {
-        let span_range = query.span_range(s);
-        if !span_range.overlaps(&r) {
-            continue;
+        if query.span_range(s).overlaps(&r) {
+            chunks.push(SpanChunk {
+                idx,
+                frag,
+                split: id,
+            });
         }
-        let whole = span_range.start <= r.start && r.end <= span_range.end;
-        chunks.push(SpanChunk { idx, frag, whole });
     }
     Ok(())
 }
@@ -169,15 +218,15 @@ mod tests {
     )]
 
     use super::*;
+    use tsfile::testing::TempDir;
     use tsfile::types::Point;
     use tskv::config::EngineConfig;
     use tskv::TsKv;
 
     use crate::udf::M4Udf;
 
-    fn fresh(name: &str, chunk: usize) -> (std::path::PathBuf, TsKv) {
-        let dir = std::env::temp_dir().join(format!("m4-lsm-{name}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+    fn fresh(name: &str, chunk: usize) -> (TempDir, TsKv) {
+        let dir = TempDir::new(&format!("m4-lsm-{name}")).unwrap();
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -217,7 +266,7 @@ mod tests {
 
     #[test]
     fn clean_sequential_data() {
-        let (dir, kv) = fresh("clean", 100);
+        let (_dir, kv) = fresh("clean", 100);
         for t in 0..2000i64 {
             kv.insert("s", Point::new(t, ((t * 37) % 101) as f64))
                 .unwrap();
@@ -226,12 +275,11 @@ mod tests {
         assert_matches_udf(&kv, "s", &M4Query::new(0, 2000, 7).unwrap());
         assert_matches_udf(&kv, "s", &M4Query::new(0, 2000, 1).unwrap());
         assert_matches_udf(&kv, "s", &M4Query::new(0, 2000, 400).unwrap());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn pure_metadata_path_loads_nothing() {
-        let (dir, kv) = fresh("meta-only", 100);
+        let (_dir, kv) = fresh("meta-only", 100);
         for t in 0..1000i64 {
             kv.insert("s", Point::new(t, (t % 13) as f64)).unwrap();
         }
@@ -252,12 +300,11 @@ mod tests {
         assert_eq!(s.last.t, 999);
         assert_eq!(s.top.v, 12.0);
         assert_eq!(s.bottom.v, 0.0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn overlapping_chunks_with_overwrites() {
-        let (dir, kv) = fresh("overwrite", 50);
+        let (_dir, kv) = fresh("overwrite", 50);
         for t in 0..1000i64 {
             kv.insert("s", Point::new(t, (t % 29) as f64)).unwrap();
         }
@@ -274,12 +321,11 @@ mod tests {
         for w in [1, 3, 10, 100] {
             assert_matches_udf(&kv, "s", &M4Query::new(0, 1000, w).unwrap());
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn deletes_at_edges_and_extremes() {
-        let (dir, kv) = fresh("deletes", 50);
+        let (_dir, kv) = fresh("deletes", 50);
         for t in 0..1000i64 {
             kv.insert("s", Point::new(t, (t % 29) as f64)).unwrap();
         }
@@ -290,12 +336,11 @@ mod tests {
         for w in [1, 4, 20] {
             assert_matches_udf(&kv, "s", &M4Query::new(0, 1000, w).unwrap());
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn delete_then_overwrite_then_delete() {
-        let (dir, kv) = fresh("interleaved", 25);
+        let (_dir, kv) = fresh("interleaved", 25);
         for t in 0..500i64 {
             kv.insert("s", Point::new(t, 1.0)).unwrap();
         }
@@ -309,12 +354,11 @@ mod tests {
         for w in [1, 2, 5, 50] {
             assert_matches_udf(&kv, "s", &M4Query::new(0, 500, w).unwrap());
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn query_subrange_and_misaligned_spans() {
-        let (dir, kv) = fresh("subrange", 30);
+        let (_dir, kv) = fresh("subrange", 30);
         for t in 0..900i64 {
             kv.insert("s", Point::new(t * 7, ((t * 13) % 97) as f64))
                 .unwrap();
@@ -323,18 +367,16 @@ mod tests {
         assert_matches_udf(&kv, "s", &M4Query::new(500, 5000, 13).unwrap());
         assert_matches_udf(&kv, "s", &M4Query::new(1, 6300, 9).unwrap());
         assert_matches_udf(&kv, "s", &M4Query::new(6299, 6301, 2).unwrap());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn empty_series_and_empty_range() {
-        let (dir, kv) = fresh("empty", 10);
+        let (_dir, kv) = fresh("empty", 10);
         kv.create_series("s").unwrap();
         let snap = kv.snapshot("s").unwrap();
         let q = M4Query::new(0, 100, 4).unwrap();
         let r = M4Lsm::new().execute(&snap, &q).unwrap();
         assert_eq!(r.non_empty(), 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -344,7 +386,7 @@ mod tests {
         // resolved (loaded) before that exact candidate is answered,
         // because the bounded chunk may hold a later-versioned point at
         // the same timestamp.
-        let (dir, kv) = fresh("bound-tie", 10);
+        let (_dir, kv) = fresh("bound-tie", 10);
         // C¹: points at 100..190 step 10, value 1.
         let c1: Vec<Point> = (0..10).map(|t| Point::new(100 + t * 10, 1.0)).collect();
         kv.insert_batch("s", &c1).unwrap();
@@ -363,12 +405,11 @@ mod tests {
         let snap = kv.snapshot("s").unwrap();
         let r = M4Lsm::new().execute(&snap, &q).unwrap();
         assert_eq!(r.spans[0].unwrap().first, Point::new(130, 9.0));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn lp_mirror_of_bound_tie() {
-        let (dir, kv) = fresh("lp-bound-tie", 10);
+        let (_dir, kv) = fresh("lp-bound-tie", 10);
         let c1: Vec<Point> = (0..10).map(|t| Point::new(100 + t * 10, 1.0)).collect();
         kv.insert_batch("s", &c1).unwrap();
         kv.flush("s").unwrap();
@@ -384,14 +425,13 @@ mod tests {
         let snap = kv.snapshot("s").unwrap();
         let r = M4Lsm::new().execute(&snap, &q).unwrap();
         assert_eq!(r.spans[0].unwrap().last, Point::new(159, 9.0));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn all_candidates_dirty_forces_batch_load() {
         // Every chunk's metadata top is overwritten by a later chunk,
         // so BP/TP must batch-load the dirty chunks and recompute.
-        let (dir, kv) = fresh("all-dirty", 10);
+        let (_dir, kv) = fresh("all-dirty", 10);
         let mut c1: Vec<Point> = (0..10).map(|t| Point::new(t * 10, 1.0)).collect();
         c1[5].v = 100.0; // top of C¹ at t=50
         kv.insert_batch("s", &c1).unwrap();
@@ -411,12 +451,11 @@ mod tests {
         let r = M4Lsm::new().execute(&snap, &q).unwrap();
         // True top is now 1.0 (all 100/90 overwritten).
         assert_eq!(r.spans[0].unwrap().top.v, 1.0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn unflushed_memtable_visible() {
-        let (dir, kv) = fresh("memtable", 40);
+        let (_dir, kv) = fresh("memtable", 40);
         for t in 0..100i64 {
             kv.insert("s", Point::new(t, 1.0)).unwrap();
         }
@@ -426,7 +465,6 @@ mod tests {
         }
         // No flush: memtable chunk must serve the query.
         assert_matches_udf(&kv, "s", &M4Query::new(0, 150, 6).unwrap());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -434,8 +472,7 @@ mod tests {
         // Multi-page chunks (1000 points, 50-point pages) exercise the
         // fragment path: per-page span assignment, page-stat candidates
         // and selective page decode.
-        let dir = std::env::temp_dir().join(format!("m4-lsm-paged-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TempDir::new("m4-lsm-paged").unwrap();
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -478,6 +515,5 @@ mod tests {
             "narrow span should decode pages, not whole chunks: {} points",
             delta.points_decoded
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -22,25 +22,32 @@ pub struct SpanRepr {
 
 impl SpanRepr {
     /// Compute the representation of a non-empty, time-sorted slice.
-    /// Ties on value resolve to the earliest point.
+    /// Ties on value resolve to the earliest point. Values compare in
+    /// `f64::total_cmp` order, as integer keys, and the extremes are
+    /// tracked by position: the loop stays branch-light.
     pub fn from_sorted_points(points: &[Point]) -> Option<Self> {
-        let first = *points.first()?;
-        let last = *points.last()?;
-        let mut bottom = first;
-        let mut top = first;
-        for p in &points[1..] {
-            if p.v.total_cmp(&bottom.v).is_lt() {
-                bottom = *p;
+        fn key(v: f64) -> i64 {
+            // The integer order `f64::total_cmp` is defined by.
+            let b = v.to_bits() as i64;
+            b ^ ((((b >> 63) as u64) >> 1) as i64)
+        }
+        let (&first, &last) = (points.first()?, points.last()?);
+        let (mut bottom, mut top) = (0, 0);
+        let (mut bk, mut tk) = (key(first.v), key(first.v));
+        for (i, p) in points.iter().enumerate().skip(1) {
+            let k = key(p.v);
+            if k < bk {
+                (bk, bottom) = (k, i);
             }
-            if p.v.total_cmp(&top.v).is_gt() {
-                top = *p;
+            if k > tk {
+                (tk, top) = (k, i);
             }
         }
         Some(SpanRepr {
             first,
             last,
-            bottom,
-            top,
+            bottom: points[bottom],
+            top: points[top],
         })
     }
 
@@ -135,6 +142,26 @@ mod tests {
         assert_eq!(r.last, Point::new(4, 0.0));
         assert_eq!(r.bottom, Point::new(2, -3.0));
         assert_eq!(r.top, Point::new(3, 9.0));
+    }
+
+    #[test]
+    fn from_sorted_points_orders_like_total_cmp() {
+        // Ties go to the earliest point; -0.0 sorts below 0.0 and NaN
+        // above +inf, as `f64::total_cmp` orders them.
+        let points = pts(&[
+            (1, 0.0),
+            (2, -0.0),
+            (3, f64::NAN),
+            (4, f64::INFINITY),
+            (5, -0.0),
+            (6, f64::NAN),
+        ]);
+        let r = SpanRepr::from_sorted_points(&points).unwrap();
+        assert_eq!(r.bottom.t, 2);
+        assert_eq!(r.top.t, 3);
+        let ties = pts(&[(1, 2.0), (2, 1.0), (3, 2.0), (4, 1.0)]);
+        let r = SpanRepr::from_sorted_points(&ties).unwrap();
+        assert_eq!((r.bottom.t, r.top.t), (2, 1));
     }
 
     #[test]

@@ -140,12 +140,12 @@ mod tests {
     )]
 
     use super::*;
+    use tsfile::testing::TempDir;
     use tsfile::types::Point;
     use tskv::config::EngineConfig;
 
-    fn store() -> (std::path::PathBuf, TsKv) {
-        let dir = std::env::temp_dir().join(format!("m4-sql-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+    fn store() -> (TempDir, TsKv) {
+        let dir = TempDir::new("m4-sql").unwrap();
         let kv = TsKv::open(
             &dir,
             EngineConfig {
@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn executes_the_paper_statement() {
-        let (dir, kv) = store();
+        let (_dir, kv) = store();
         let stmt = M4Statement::parse(
             "SELECT FirstTime(T), FirstValue(T), LastTime(T), LastValue(T), \
              BottomTime(T), BottomValue(T), TopTime(T), TopValue(T) \
@@ -188,12 +188,11 @@ mod tests {
         // Span 0 = [0, 99]: first point (0, 0.0), top value 36.
         assert_eq!(lsm.rows[0].values[0], 0.0);
         assert_eq!(lsm.rows[0].values[7], 36.0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn empty_spans_produce_no_rows() {
-        let (dir, kv) = store();
+        let (_dir, kv) = store();
         let stmt = M4Statement::parse(
             "SELECT FirstTime(T) FROM root.sg.temp GROUPBY floor(10*(t-0)/(4000-0))",
         )
@@ -202,17 +201,15 @@ mod tests {
         // Data covers only [0, 400) of [0, 4000): 1 of 10 groups.
         assert_eq!(t.rows.len(), 1);
         assert_eq!(t.rows[0].group, 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn unknown_series_errors() {
-        let (dir, kv) = store();
+        let (_dir, kv) = store();
         let stmt =
             M4Statement::parse("SELECT FirstTime(T) FROM nope GROUPBY floor(1*(t-0)/(10-0))")
                 .unwrap();
         assert!(execute(&kv, &stmt, &Params::new(), ExecOperator::Lsm).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -64,6 +64,7 @@ pub mod page;
 pub mod pread;
 pub mod reader;
 pub mod statistics;
+pub mod testing;
 pub mod types;
 pub mod varint;
 pub mod writer;

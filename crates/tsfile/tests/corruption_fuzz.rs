@@ -12,6 +12,7 @@
 )]
 
 use proptest::prelude::*;
+use tsfile::testing::TempDir;
 use tsfile::types::Point;
 use tsfile::{ModsFile, TsFileReader, TsFileWriter};
 
@@ -36,9 +37,8 @@ proptest! {
     fn bit_flips_never_panic(
         flips in prop::collection::vec((any::<prop::sample::Index>(), 1u8..=255), 1..8)
     ) {
-        let dir = std::env::temp_dir().join("tsfile-fuzz");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("flip-{}.tsfile", std::process::id()));
+        let dir = TempDir::new("tsfile-fuzz").unwrap();
+        let path = dir.join("flip.tsfile");
         let original = sample_file(&path);
 
         let mut corrupted = original.clone();
@@ -60,16 +60,14 @@ proptest! {
                 }
             }
         }
-        std::fs::remove_file(&path).ok();
     }
 
     /// Truncate a valid TsFile at any point: must fail cleanly or, if
     /// truncation only removed nothing (full length), succeed.
     #[test]
     fn truncation_never_panics(cut in any::<prop::sample::Index>()) {
-        let dir = std::env::temp_dir().join("tsfile-fuzz");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("trunc-{}.tsfile", std::process::id()));
+        let dir = TempDir::new("tsfile-fuzz").unwrap();
+        let path = dir.join("trunc.tsfile");
         let original = sample_file(&path);
         let keep = cut.index(original.len() + 1);
         std::fs::write(&path, &original[..keep]).unwrap();
@@ -82,33 +80,28 @@ proptest! {
             }
             Err(_) => prop_assert!(keep < original.len()),
         }
-        std::fs::remove_file(&path).ok();
     }
 
     /// Arbitrary bytes as a mods file: replay must not panic and only
     /// yields CRC-valid prefixes.
     #[test]
     fn random_mods_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
-        let dir = std::env::temp_dir().join("tsfile-fuzz");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("mods-{}.mods", std::process::id()));
+        let dir = TempDir::new("tsfile-fuzz").unwrap();
+        let path = dir.join("mods.mods");
         std::fs::write(&path, &bytes).unwrap();
         let mods = ModsFile::open(&path).unwrap();
         // Whatever parsed, appending still works afterwards.
         let mut mods = mods;
         mods.append(tsfile::ModEntry::new(tsfile::types::Version(1), 0, 1)).unwrap();
-        std::fs::remove_file(&path).ok();
     }
 
     /// Arbitrary bytes as a whole file: open() must never panic.
     #[test]
     fn random_file_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
-        let dir = std::env::temp_dir().join("tsfile-fuzz");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("rand-{}.tsfile", std::process::id()));
+        let dir = TempDir::new("tsfile-fuzz").unwrap();
+        let path = dir.join("rand.tsfile");
         std::fs::write(&path, &bytes).unwrap();
         let _ = TsFileReader::open(&path);
-        std::fs::remove_file(&path).ok();
     }
 
     /// The "no silently wrong data" half of the contract: when a read
@@ -119,9 +112,8 @@ proptest! {
     fn surviving_chunk_reads_are_exact(
         flips in prop::collection::vec((any::<prop::sample::Index>(), 1u8..=255), 1..8)
     ) {
-        let dir = std::env::temp_dir().join("tsfile-fuzz");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("exact-{}.tsfile", std::process::id()));
+        let dir = TempDir::new("tsfile-fuzz").unwrap();
+        let path = dir.join("exact.tsfile");
         let original = sample_file(&path);
         let pts: Vec<Point> = (0..500).map(|i| Point::new(i * 100, (i % 17) as f64)).collect();
 
@@ -145,7 +137,6 @@ proptest! {
                 prop_assert_eq!(got.as_slice(), expected, "silent corruption passed the CRC");
             }
         }
-        std::fs::remove_file(&path).ok();
     }
 
     /// Flips aimed at the footer / tail metadata region, where a decode
@@ -154,9 +145,8 @@ proptest! {
     fn footer_flips_never_panic(
         flips in prop::collection::vec((0usize..160, 1u8..=255), 1..6)
     ) {
-        let dir = std::env::temp_dir().join("tsfile-fuzz");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("foot-{}.tsfile", std::process::id()));
+        let dir = TempDir::new("tsfile-fuzz").unwrap();
+        let path = dir.join("foot.tsfile");
         let original = sample_file(&path);
 
         let mut corrupted = original.clone();
@@ -173,7 +163,6 @@ proptest! {
                 let _ = reader.read_chunk_timestamps(meta, None);
             }
         }
-        std::fs::remove_file(&path).ok();
     }
 
     /// A corrupt on-disk count must not translate into an unbounded
@@ -220,10 +209,8 @@ proptest! {
         mask in 1u8..=255,
         n_entries in 1usize..12,
     ) {
-        let dir = std::env::temp_dir().join("tsfile-fuzz");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("modflip-{}.mods", std::process::id()));
-        std::fs::remove_file(&path).ok();
+        let dir = TempDir::new("tsfile-fuzz").unwrap();
+        let path = dir.join("modflip.mods");
 
         let originals: Vec<tsfile::ModEntry> = (0..n_entries)
             .map(|i| {
@@ -250,6 +237,5 @@ proptest! {
                 prop_assert_eq!(got, &originals[..got.len()], "replay rewrote history");
             }
         }
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -33,8 +33,6 @@ pub struct ChunkHandle {
     pub version: Version,
     /// FP/LP/BP/TP/count — the paper's chunk metadata.
     pub stats: ChunkStatistics,
-    /// Step-regression index, if learned at flush time.
-    pub index: Option<StepIndex>,
     /// Data location.
     pub data: ChunkData,
 }
@@ -45,7 +43,6 @@ impl ChunkHandle {
         ChunkHandle {
             version: meta.version,
             stats: meta.stats,
-            index: meta.index.clone(),
             data: ChunkData::File { file_idx, meta },
         }
     }
@@ -58,7 +55,6 @@ impl ChunkHandle {
         Some(ChunkHandle {
             version,
             stats,
-            index: None,
             data: ChunkData::Mem { points },
         })
     }
@@ -78,6 +74,16 @@ impl ChunkHandle {
     /// Whether the chunk body lives in memory (no I/O to read).
     pub fn is_mem(&self) -> bool {
         matches!(self.data, ChunkData::Mem { .. })
+    }
+
+    /// The step-regression index learned at flush time, if any (read
+    /// from the chunk's metadata, not copied). Memtable chunks have
+    /// none.
+    pub fn index(&self) -> Option<&StepIndex> {
+        match &self.data {
+            ChunkData::File { meta, .. } => meta.index.as_ref(),
+            ChunkData::Mem { .. } => None,
+        }
     }
 
     /// The chunk's on-disk page index, when the backing file stores the
@@ -108,7 +114,7 @@ mod tests {
         assert_eq!(h.time_range(), TimeRange::new(1, 3));
         assert_eq!(h.stats.bottom, Point::new(2, -1.0));
         assert!(h.is_mem());
-        assert!(h.index.is_none());
+        assert!(h.index().is_none());
         Ok(())
     }
 

@@ -325,16 +325,15 @@ fn decode_record(buf: &[u8], start: usize) -> Option<(WalRecord, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsfile::testing::TempDir;
 
     type TestResult = std::result::Result<(), Box<dyn std::error::Error>>;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("tskv-wal-tests");
-        std::fs::create_dir_all(&dir).ok();
+    /// A fresh log path in a scratch directory private to the test.
+    fn tmp(name: &str) -> std::io::Result<(TempDir, PathBuf)> {
+        let dir = TempDir::new("tskv-wal-tests")?;
         let p = dir.join(name);
-        std::fs::remove_file(&p).ok();
-        std::fs::remove_file(Wal::sealed_path(&p)).ok();
-        p
+        Ok((dir, p))
     }
 
     fn pts(raw: &[(i64, f64)]) -> Vec<Point> {
@@ -343,7 +342,7 @@ mod tests {
 
     #[test]
     fn append_replay_roundtrip() -> TestResult {
-        let p = tmp("roundtrip.wal");
+        let (_dir, p) = tmp("roundtrip.wal")?;
         let mut w = Wal::open(&p)?;
         w.append_inserts(&pts(&[(1, 1.0), (2, 2.0)]))?;
         w.append_delete(Version(7), TimeRange::new(0, 10))?;
@@ -367,13 +366,14 @@ mod tests {
 
     #[test]
     fn missing_file_replays_empty() -> TestResult {
-        assert!(Wal::replay(tmp("missing.wal"))?.is_empty());
+        let (_dir, p) = tmp("missing.wal")?;
+        assert!(Wal::replay(&p)?.is_empty());
         Ok(())
     }
 
     #[test]
     fn reset_clears_log() -> TestResult {
-        let p = tmp("reset.wal");
+        let (_dir, p) = tmp("reset.wal")?;
         let mut w = Wal::open(&p)?;
         w.append_inserts(&pts(&[(1, 1.0)]))?;
         assert!(w.len_bytes()? > 0);
@@ -388,7 +388,7 @@ mod tests {
 
     #[test]
     fn rotation_diverts_then_discard_drops() -> TestResult {
-        let p = tmp("rotate.wal");
+        let (_dir, p) = tmp("rotate.wal")?;
         let mut w = Wal::open(&p)?;
         w.append_inserts(&pts(&[(1, 1.0)]))?;
         w.rotate_for_flush()?;
@@ -411,7 +411,7 @@ mod tests {
 
     #[test]
     fn second_rotation_folds_active_onto_surviving_sealed_segment() -> TestResult {
-        let p = tmp("fold.wal");
+        let (_dir, p) = tmp("fold.wal")?;
         let mut w = Wal::open(&p)?;
         w.append_inserts(&pts(&[(1, 1.0)]))?;
         w.rotate_for_flush()?; // flush #1 starts…
@@ -433,7 +433,7 @@ mod tests {
 
     #[test]
     fn discard_without_sealed_segment_is_noop() -> TestResult {
-        let p = tmp("nodiscard.wal");
+        let (_dir, p) = tmp("nodiscard.wal")?;
         let mut w = Wal::open(&p)?;
         w.discard_sealed()?;
         Ok(())
@@ -441,7 +441,7 @@ mod tests {
 
     #[test]
     fn torn_tail_dropped() -> TestResult {
-        let p = tmp("torn.wal");
+        let (_dir, p) = tmp("torn.wal")?;
         let mut w = Wal::open(&p)?;
         w.append_inserts(&pts(&[(1, 1.0)]))?;
         w.append_inserts(&pts(&[(2, 2.0), (3, 3.0)]))?;
@@ -456,7 +456,7 @@ mod tests {
 
     #[test]
     fn corrupt_record_ends_replay() -> TestResult {
-        let p = tmp("corrupt.wal");
+        let (_dir, p) = tmp("corrupt.wal")?;
         let mut w = Wal::open(&p)?;
         w.append_inserts(&pts(&[(1, 1.0)]))?;
         w.append_inserts(&pts(&[(2, 2.0)]))?;
@@ -472,7 +472,7 @@ mod tests {
 
     #[test]
     fn absurd_count_rejected() -> TestResult {
-        let p = tmp("absurd.wal");
+        let (_dir, p) = tmp("absurd.wal")?;
         // Hand-craft a record claiming u64::MAX points.
         let mut body = vec![0u8];
         varint::write_u64(&mut body, u64::MAX);
@@ -485,7 +485,7 @@ mod tests {
 
     #[test]
     fn empty_insert_is_noop() -> TestResult {
-        let p = tmp("empty.wal");
+        let (_dir, p) = tmp("empty.wal")?;
         let mut w = Wal::open(&p)?;
         w.append_inserts(&[])?;
         assert_eq!(w.len_bytes()?, 0);
@@ -494,7 +494,7 @@ mod tests {
 
     #[test]
     fn grouped_mode_buffers_until_commit() -> TestResult {
-        let p = tmp("grouped.wal");
+        let (_dir, p) = tmp("grouped.wal")?;
         let mut w = Wal::open_grouped(&p, 1 << 20)?;
         w.append_inserts(&pts(&[(1, 1.0), (2, 2.0)]))?;
         w.append_delete(Version(3), TimeRange::new(0, 5))?;
@@ -523,7 +523,7 @@ mod tests {
 
     #[test]
     fn grouped_mode_writes_through_past_threshold() -> TestResult {
-        let p = tmp("grouped_threshold.wal");
+        let (_dir, p) = tmp("grouped_threshold.wal")?;
         let mut w = Wal::open_grouped(&p, 16)?;
         // One record larger than the threshold drains immediately.
         w.append_inserts(&pts(&[(1, 1.0), (2, 2.0), (3, 3.0)]))?;
@@ -535,7 +535,7 @@ mod tests {
 
     #[test]
     fn rotation_drains_buffered_frames_into_sealed_segment() -> TestResult {
-        let p = tmp("grouped_rotate.wal");
+        let (_dir, p) = tmp("grouped_rotate.wal")?;
         let mut w = Wal::open_grouped(&p, 1 << 20)?;
         w.append_inserts(&pts(&[(1, 1.0)]))?;
         w.rotate_for_flush()?;
@@ -548,7 +548,7 @@ mod tests {
 
     #[test]
     fn reset_drops_buffered_frames() -> TestResult {
-        let p = tmp("grouped_reset.wal");
+        let (_dir, p) = tmp("grouped_reset.wal")?;
         let mut w = Wal::open_grouped(&p, 1 << 20)?;
         w.append_inserts(&pts(&[(1, 1.0)]))?;
         w.reset()?;

@@ -17,15 +17,21 @@
 //! current call's response — the correlation id is what makes
 //! [`TsNetClient::call_with_busy_retry`] safe on a pushy connection.
 //!
+//! Frames are read through a receive buffer, never with a bare
+//! `read_exact`: when a read timeout fires part-way through a frame
+//! (a short [`TsNetClient::poll_push`] wait is the usual cause), the
+//! bytes already received stay buffered and the next read resumes the
+//! frame, so the connection keeps its framing.
+//!
 //! [`SubReplay`] folds a subscription's `SubAck` baseline plus its
 //! `SpanDelta` stream back into a dashboard state; at any server
 //! quiesce point that state is byte-identical to a fresh M4 recompute.
 
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Read};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use m4::SpanRepr;
 use tsfile::types::Point;
@@ -72,7 +78,13 @@ pub struct TsNetClient {
     /// Push frames read while waiting for a response, in arrival
     /// order; drained by [`TsNetClient::poll_push`].
     buffered_pushes: VecDeque<Push>,
+    /// Bytes received but not yet decoded: the front of the next frame
+    /// (possibly cut short by a read timeout), then whatever follows.
+    rx: Vec<u8>,
 }
+
+/// Smallest read the receive buffer is grown by.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// An acknowledged subscription: its server-assigned id and the
 /// baseline span state the delta stream applies on top of.
@@ -107,6 +119,7 @@ impl TsNetClient {
                         config,
                         next_request_id: 1,
                         buffered_pushes: VecDeque::new(),
+                        rx: Vec::new(),
                     });
                 }
                 Err(e) => last = Some(e),
@@ -142,7 +155,13 @@ impl TsNetClient {
         let bytes = wire::encode_request(&env)?;
         wire::write_frame(&mut self.stream, &bytes)?;
         loop {
-            let frame = wire::read_frame(&mut self.stream, self.config.max_payload_bytes)?;
+            let frame = match self.take_frame()? {
+                Some(frame) => frame,
+                None => {
+                    self.fill()?;
+                    continue;
+                }
+            };
             match frame {
                 Frame::Push(push) => {
                     self.buffered_pushes.push_back(push);
@@ -173,14 +192,26 @@ impl TsNetClient {
         }
         // A zero timeout would mean "block forever" to the OS; clamp
         // to the smallest finite wait instead.
-        self.stream
-            .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
+        let deadline = Instant::now() + timeout.max(Duration::from_millis(1));
         let outcome = loop {
-            match wire::read_frame(&mut self.stream, self.config.max_payload_bytes) {
-                Ok(Frame::Push(push)) => break Ok(Some(push)),
+            match self.take_frame() {
+                Ok(Some(Frame::Push(push))) => break Ok(Some(push)),
                 // Stale response from an abandoned call: discard.
-                Ok(Frame::Response(_)) => {}
-                Ok(Frame::Request(_)) => break Err(NetError::UnexpectedResponse("client")),
+                Ok(Some(Frame::Response(_))) => continue,
+                Ok(Some(Frame::Request(_))) => break Err(NetError::UnexpectedResponse("client")),
+                Ok(None) => {}
+                Err(e) => break Err(e),
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break Ok(None);
+            }
+            if let Err(e) = self.stream.set_read_timeout(Some(left)) {
+                break Err(e.into());
+            }
+            match self.fill() {
+                Ok(()) => {}
+                // Bytes of a partial frame stay in `rx` for the next call.
                 Err(NetError::Io(e))
                     if matches!(
                         e.kind(),
@@ -200,6 +231,39 @@ impl TsNetClient {
         };
         self.stream.set_read_timeout(configured)?;
         outcome
+    }
+
+    /// Decode the frame at the front of the receive buffer, if it has
+    /// fully arrived.
+    fn take_frame(&mut self) -> Result<Option<Frame>> {
+        let Some(total) = wire::frame_len(&self.rx, self.config.max_payload_bytes)? else {
+            return Ok(None);
+        };
+        let Some(bytes) = self.rx.get(..total) else {
+            return Ok(None);
+        };
+        let (frame, _) = wire::decode_frame(bytes)?;
+        self.rx.drain(..total);
+        Ok(Some(frame))
+    }
+
+    /// One read into the receive buffer, sized to the rest of the
+    /// current frame when its header is in. Errors (a read timeout
+    /// among them) leave every byte received so far in place.
+    fn fill(&mut self) -> Result<()> {
+        let have = self.rx.len();
+        let frame = wire::frame_len(&self.rx, self.config.max_payload_bytes)?;
+        let want = frame.unwrap_or(0).saturating_sub(have).max(READ_CHUNK);
+        self.rx.resize(have + want, 0);
+        let read = match self.rx.get_mut(have..) {
+            Some(spare) => self.stream.read(spare),
+            None => Ok(0),
+        };
+        self.rx.truncate(have + read.as_ref().map_or(0, |&n| n));
+        if read? == 0 {
+            return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+        }
+        Ok(())
     }
 
     /// Like [`TsNetClient::call`], retrying `Busy` rejections with
@@ -445,5 +509,106 @@ impl SubReplay {
     /// Push frames folded so far (the next expected sequence number).
     pub fn frames_applied(&self) -> u64 {
         self.next_seq
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    // Tests assert by panicking; the workspace deny-set targets
+    // library code.
+    #![allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )]
+
+    use std::io::Write;
+    use std::net::TcpListener;
+
+    use super::*;
+    use crate::wire::ResponseEnvelope;
+
+    fn delta(seq: u64) -> Push {
+        Push::SpanDelta {
+            sub_id: 7,
+            seq,
+            resync: false,
+            deltas: (0..40)
+                .map(|i| {
+                    let p = Point::new(i64::from(i) * 10, f64::from(i) * 0.5);
+                    let span = SpanRepr {
+                        first: p,
+                        last: p,
+                        bottom: p,
+                        top: p,
+                    };
+                    (i, Some(span))
+                })
+                .collect(),
+        }
+    }
+
+    /// A client connected to a bare socket standing in for the server.
+    fn pair() -> (TsNetClient, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = TsNetClient::connect(addr, ClientConfig::default()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nodelay(true).unwrap();
+        (client, server)
+    }
+
+    #[test]
+    fn push_split_across_a_poll_timeout_arrives_intact() {
+        let (mut client, mut server) = pair();
+        let first = wire::encode_push(&delta(1)).unwrap();
+        let second = wire::encode_push(&delta(2)).unwrap();
+        // Half a frame, then silence past the poll timeout.
+        let cut = first.len() / 2;
+        server.write_all(&first[..cut]).unwrap();
+        assert_eq!(client.poll_push(Duration::from_millis(30)).unwrap(), None);
+        // Even a cut inside the header must survive.
+        server.write_all(&first[cut..]).unwrap();
+        server.write_all(&second[..4]).unwrap();
+        assert_eq!(
+            client.poll_push(Duration::from_secs(5)).unwrap(),
+            Some(delta(1))
+        );
+        assert_eq!(client.poll_push(Duration::from_millis(30)).unwrap(), None);
+        server.write_all(&second[4..]).unwrap();
+        assert_eq!(
+            client.poll_push(Duration::from_secs(5)).unwrap(),
+            Some(delta(2))
+        );
+    }
+
+    #[test]
+    fn call_resumes_a_push_cut_by_a_poll_timeout() {
+        let (mut client, mut server) = pair();
+        let push = wire::encode_push(&delta(1)).unwrap();
+        let cut = push.len() - 3;
+        server.write_all(&push[..cut]).unwrap();
+        assert_eq!(client.poll_push(Duration::from_millis(30)).unwrap(), None);
+        let responder = std::thread::spawn(move || {
+            let request = wire::read_frame(&mut server, wire::MAX_PAYLOAD_BYTES).unwrap();
+            let Frame::Request(env) = request else {
+                panic!("expected a request, got {request:?}");
+            };
+            let pong = wire::encode_response(&ResponseEnvelope {
+                request_id: env.request_id,
+                body: Response::Pong,
+            })
+            .unwrap();
+            server.write_all(&push[cut..]).unwrap();
+            server.write_all(&pong).unwrap();
+            server
+        });
+        client.ping().unwrap();
+        assert_eq!(
+            client.poll_push(Duration::from_millis(30)).unwrap(),
+            Some(delta(1))
+        );
+        drop(responder.join().unwrap());
     }
 }

@@ -1017,6 +1017,18 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize)> {
     Ok((frame, HEADER_LEN + len + TRAILER_LEN))
 }
 
+/// Total length (header, payload and trailer) of the frame whose
+/// header starts `buf`, after validating that header; `None` while
+/// fewer than [`HEADER_LEN`] bytes are present. Lets a reader that
+/// buffers partial frames know when one is complete.
+pub fn frame_len(buf: &[u8], max_payload_bytes: u32) -> Result<Option<usize>> {
+    let Some(header) = buf.get(..HEADER_LEN) else {
+        return Ok(None);
+    };
+    let (_, len) = decode_header(header, max_payload_bytes)?;
+    Ok(Some(HEADER_LEN + len + TRAILER_LEN))
+}
+
 /// Read one frame off a blocking stream. `max_payload_bytes` bounds
 /// the allocation a peer can demand. The payload staging buffer comes
 /// from the tsfile buffer pool: a server worker thread decoding one
